@@ -1,0 +1,9 @@
+"""Make the benchmark package and the library importable from the tests."""
+
+import sys
+from pathlib import Path
+
+_HERE = Path(__file__).resolve().parent
+for path in (_HERE.parent, _HERE.parents[1] / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
