@@ -51,6 +51,23 @@ def _git_commit(root: Path) -> str | None:
     return None
 
 
+def _host_speed(seconds: float = 0.25) -> float:
+    """Iterations per second of a fixed pure-Python loop on this host.
+
+    Recorded beside each result so that a reader can tell a slower
+    program from a slower host: a shared virtual machine's speed moves
+    by tens of percent over minutes.
+    """
+    start = time.perf_counter()
+    rounds = 0
+    while time.perf_counter() - start < seconds:
+        total = 0
+        for i in range(10_000):
+            total += i * i
+        rounds += 1
+    return rounds / (time.perf_counter() - start)
+
+
 def _metadata(args, started_utc: str, wall_s: float) -> dict:
     import numpy
 
@@ -105,22 +122,6 @@ def _per_layer(workload, ctx, untraced, traced, tracer, handoff, state, load_thr
     return values
 
 
-def _write_spans(tracer, workload: str, seed: int) -> Path:
-    """Write the traced window's spans to ``.perfbench_out/`` in the checkout."""
-    out = ROOT / ".perfbench_out"
-    out.mkdir(exist_ok=True)
-    path = out / f"spans-{workload}-seed{seed}.json"
-    path.write_text(
-        json.dumps(
-            [
-                [s.index, s.name, s.start, s.end, s.parent, s.thread]
-                for s in tracer.spans
-            ]
-        )
-    )
-    return path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -137,19 +138,20 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(src))
 
-    from wsdbench.layers import HOT, HandoffClock, install
-    from wsdbench.metrics import END_TO_END, PER_LAYER, peak_rss_mib
+    from wsdbench.layers import HandoffClock, install
+    from wsdbench.metrics import END_TO_END, PER_LAYER, peak_rss_mib, reset_peak_rss
     from wsdbench.tracing import Tracer
     from wsdbench.workloads import WORKLOADS
 
+    phases: dict = {}
     workload = WORKLOADS.get(args.workload)
     if workload is None:
         parser.error(f"unknown workload {args.workload!r}; known: {sorted(WORKLOADS)}")
     started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
     run_start = time.perf_counter()
+    phases["host_loop_per_s"] = [_host_speed()]
 
     setup_times = []
-    phases: dict = {}
     ctx = None
     for _ in range(SETUP_REPEATS):
         if ctx is not None:
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
     try:
         if args.trace:
             untraced = workload.window(ctx, args.seconds / 2)
-            tracer = Tracer(hot=HOT)
+            tracer = Tracer()
             handoff = HandoffClock(tracer.clock)
             state: dict = {}
             install(tracer, handoff, state)
@@ -170,15 +172,14 @@ def main(argv=None) -> int:
             finally:
                 tracer.restore()
         else:
+            phases["rss_reset"] = reset_peak_rss()
             window = workload.window(ctx, args.seconds)
             rss = peak_rss_mib()
+        phases["host_loop_per_s"].append(_host_speed())
         gate_start = time.perf_counter()
         problems = workload.gate(ctx)
         phases["gate_s"] = time.perf_counter() - gate_start
         if args.trace:
-            phases["spans_file"] = str(
-                _write_spans(tracer, args.workload, args.seed).relative_to(ROOT)
-            )
             values = _per_layer(
                 workload, ctx, untraced, traced, tracer, handoff, state,
                 threading.get_ident(),

@@ -58,3 +58,34 @@ def test_percentiles():
     assert percentile(list(range(101)), 90) == pytest.approx(90.0)
     with pytest.raises(ValueError):
         percentile([], 50)
+
+
+@pytest.mark.parametrize("name", ["dense-churn", "socket-sparse"])
+def test_block_windows_hold_a_fixed_amount_of_work(name):
+    from wsdbench.workloads import BLOCK_EVENTS, MIN_PROBES, WORKLOADS
+
+    workload = WORKLOADS[name]
+    for seconds in (0.5, 1, 15, 60):
+        blocks = workload.window_blocks(seconds)
+        assert blocks // workload.probe_every >= MIN_PROBES
+        assert blocks % workload.checkpoint_every == 0
+        assert blocks * BLOCK_EVENTS >= workload.window_rate * seconds
+        # Set-up generates enough for one window or the traced run's halves.
+        assert workload.run_events(seconds) >= blocks * BLOCK_EVENTS
+        assert (
+            workload.run_events(seconds)
+            >= 2 * workload.window_blocks(seconds / 2) * BLOCK_EVENTS
+        )
+
+
+def test_peak_rss_leaves_out_what_ran_before_the_reset():
+    import numpy as np
+
+    from wsdbench.metrics import peak_rss_mib, reset_peak_rss
+
+    big = np.ones(64 << 20, dtype=np.uint8)  # 64 MiB, touched
+    del big
+    before = peak_rss_mib()
+    if not reset_peak_rss():
+        pytest.skip("the kernel refused to reset the RSS high-water mark")
+    assert peak_rss_mib() < before - 32

@@ -1,28 +1,9 @@
-"""Span bookkeeping: self time on a hand-built tree, wrapping and restoring."""
+"""Span bookkeeping: self time on a hand-built call tree, wrapping and restoring."""
 
 import pytest
 
-from wsdbench.tracing import Span, Tracer, interval_union, self_times
-
-
-def test_interval_union():
-    assert interval_union([]) == 0.0
-    assert interval_union([(0, 2), (1, 3), (5, 6)]) == 4.0
-    assert interval_union([(0, 10), (2, 3)]) == 10.0
-
-
-def test_self_times_on_a_hand_built_tree():
-    spans = [
-        Span(0, "root", 0.0, 10.0, None, 1),
-        Span(1, "a", 1.0, 4.0, 0, 1),
-        Span(2, "b", 3.0, 6.0, 0, 1),  # overlaps its sibling (another thread)
-        Span(3, "c", 4.0, 5.0, 2, 1),
-        Span(4, "late", 9.0, 12.0, 0, 1),  # reaches past its parent
-        Span(5, "other-root", 20.0, 21.0, None, 2),
-    ]
-    got = self_times(spans)
-    # root: 10 - |[1,6] ∪ [9,10]| = 10 - 6
-    assert got == {0: 4.0, 1: 3.0, 2: 2.0, 3: 1.0, 4: 3.0, 5: 1.0}
+from wsdbench.layers import HandoffClock
+from wsdbench.tracing import Tracer
 
 
 class _FakeClock:
@@ -41,8 +22,12 @@ class _Layer:
         self.clock.now += 1.0
         self.inner()
         self.clock.now += 2.0
-        self.inner()
+        self.middle()
         return "done"
+
+    def middle(self):
+        self.clock.now += 0.75
+        self.inner()
 
     def inner(self):
         self.clock.now += 0.5
@@ -58,11 +43,16 @@ class _Layer:
         return cls(clock)
 
 
-def test_tracer_aggregates_match_offline_self_times():
+def test_self_time_on_a_hand_built_call_tree():
+    # outer (1.0 + 2.0 own) -> inner (0.5)
+    #                       -> middle (0.75 own) -> inner (0.5)
+    # recursive(2): three nested 1.0 calls of one name.
+    # build: a classmethod, 0.25.
     clock = _FakeClock()
     tracer = Tracer(clock=clock)
     originals = dict(_Layer.__dict__)
     tracer.wrap(_Layer, "outer", "layer.outer")
+    tracer.wrap(_Layer, "middle", "layer.middle")
     tracer.wrap(_Layer, "inner", "layer.inner", lambda a, k, r: 10.0)
     tracer.wrap(_Layer, "recursive", "layer.recursive")
     tracer.wrap(_Layer, "build", "layer.build")
@@ -73,12 +63,15 @@ def test_tracer_aggregates_match_offline_self_times():
         layer.recursive(2)
     finally:
         tracer.restore()
-    for name in ("outer", "inner", "recursive", "build"):
+    for name in ("outer", "middle", "inner", "recursive", "build"):
         assert _Layer.__dict__[name] is originals[name]
 
     assert tracer.calls("layer.outer") == 1
-    assert tracer.inclusive("layer.outer") == pytest.approx(4.0)
+    assert tracer.inclusive("layer.outer") == pytest.approx(4.75)
+    # Only direct children are subtracted: 4.75 - 0.5 - 1.25.
     assert tracer.self_time("layer.outer") == pytest.approx(3.0)
+    assert tracer.inclusive("layer.middle") == pytest.approx(1.25)
+    assert tracer.self_time("layer.middle") == pytest.approx(0.75)
     assert tracer.calls("layer.inner") == 2
     assert tracer.self_time("layer.inner") == pytest.approx(1.0)
     assert tracer.amount("layer.inner") == 20.0
@@ -87,22 +80,30 @@ def test_tracer_aggregates_match_offline_self_times():
     assert tracer.inclusive("layer.recursive") == pytest.approx(3.0)
     assert tracer.self_time("layer.recursive") == pytest.approx(3.0)
     assert tracer.calls("layer.build") == 1
+    assert tracer.self_time("layer.build") == pytest.approx(0.25)
+    # Self times partition the top-level time: build, outer, recursive.
+    top = sum(tracer.top_level_time.values())
+    assert top == pytest.approx(0.25 + 4.75 + 3.0)
+    assert top == pytest.approx(
+        sum(
+            tracer.self_time(f"layer.{n}")
+            for n in ("outer", "middle", "inner", "recursive", "build")
+        )
+    )
 
-    offline = self_times(tracer.spans)
-    for name in ("layer.outer", "layer.inner", "layer.recursive"):
-        total = sum(offline[s.index] for s in tracer.spans if s.name == name)
-        assert total == pytest.approx(tracer.self_time(name))
-    # Top-level spans: build, outer, the outermost recursive call.
-    assert sum(tracer.top_level_time.values()) == pytest.approx(0.25 + 4.0 + 3.0)
 
-
-def test_hot_spans_are_aggregated_without_records():
+def test_handoff_pairs_sends_and_starts_by_ordinal():
     clock = _FakeClock()
-    tracer = Tracer(hot=("layer.inner",), clock=clock)
-    tracer.wrap(_Layer, "inner", "layer.inner")
-    try:
-        _Layer(clock).inner()
-    finally:
-        tracer.restore()
-    assert tracer.calls("layer.inner") == 1
-    assert tracer.spans == []
+    handoff = HandoffClock(clock)
+    # The server starts block 0 before the client's send returns.
+    clock.now = 1.0
+    handoff.started()
+    clock.now = 1.5
+    handoff.sent()
+    clock.now = 2.0
+    handoff.sent()
+    clock.now = 2.25
+    handoff.started()
+    clock.now = 3.0
+    handoff.sent()  # not started yet: no pair
+    assert handoff.waits() == [0.0, 0.25]

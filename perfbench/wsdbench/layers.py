@@ -13,41 +13,38 @@ f``); those bindings are wrapped where they are looked up.
 
 from __future__ import annotations
 
-import collections
-import threading
-
 from wsdbench.tracing import Tracer
 
-__all__ = ["HOT", "install", "layer_metrics", "HandoffClock"]
-
-#: Per-event span names: aggregated only, never stored span by span.
-HOT = ("samplers.process", "weights.learned")
-
+__all__ = ["install", "layer_metrics", "HandoffClock"]
 
 class HandoffClock:
-    """Matches client block sends to server-side ingest starts, in FIFO order.
+    """Pairs client block sends with server-side ingest starts by ordinal.
 
     The client records when each ``send_block`` returned; the server's
-    ``StreamSession.ingest`` of an :class:`EventBlock` pops the oldest
-    record. One connection applies frames strictly in order, so the
-    n-th ingest is the n-th block sent.
+    ``StreamSession.ingest`` of an :class:`EventBlock` records when it
+    started. One connection applies frames strictly in order, so the
+    n-th ingest is the n-th block sent. The server may start an ingest
+    before the client's ``send_block`` has returned (the send releases
+    the GIL), so the two lists are paired by position after the window,
+    never by the order in which the records arrive.
     """
 
     def __init__(self, clock) -> None:
         self._clock = clock
-        self._sent: collections.deque = collections.deque()
-        self._lock = threading.Lock()
-        self.waits: list[float] = []
+        self._sent: list[float] = []
+        self._started: list[float] = []
 
     def sent(self) -> None:
-        with self._lock:
-            self._sent.append(self._clock())
+        self._sent.append(self._clock())
 
     def started(self) -> None:
-        now = self._clock()
-        with self._lock:
-            if self._sent:
-                self.waits.append(now - self._sent.popleft())
+        self._started.append(self._clock())
+
+    def waits(self) -> list[float]:
+        """Seconds from each send returning to its ingest starting (>= 0)."""
+        return [
+            max(0.0, start - sent) for sent, start in zip(self._sent, self._started)
+        ]
 
 
 def _result_length(args, kwargs, result):
@@ -169,6 +166,7 @@ def layer_metrics(
     from wsdbench.metrics import median
 
     self_time = tracer.self_time
+    waits = handoff.waits()
     transport_blocks = tracer.calls("workers.transport_block")
     sent_blocks = tracer.calls("workers.send_block") + tracer.calls(
         "workers.send_batch"
@@ -184,7 +182,7 @@ def layer_metrics(
         "graph.block_decode_s": self_time("graph.block_decode"),
         "graph.block_bytes": tracer.amount("graph.block_encode"),
         "ingest.send_s": self_time("ingest.send"),
-        "ingest.handoff_wait_s": median(handoff.waits) if handoff.waits else 0.0,
+        "ingest.handoff_wait_s": median(waits) if waits else 0.0,
         "codec.encode_calls": float(tracer.calls("codec.encode")),
         "codec.decode_calls": float(tracer.calls("codec.decode")),
         "codec.busy_s": self_time("codec.encode") + self_time("codec.decode"),

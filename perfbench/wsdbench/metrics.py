@@ -20,6 +20,7 @@ __all__ = [
     "percentile",
     "median",
     "peak_rss_mib",
+    "reset_peak_rss",
 ]
 
 #: name -> unit, measured with tracing off.
@@ -91,15 +92,18 @@ def median(values) -> float:
     return percentile(values, 50.0)
 
 
-def _proc_status_kib(pid: int, field: str) -> int | None:
+def _proc_kib(path: str, fields: tuple[str, ...]) -> int | None:
+    """Sum of the ``fields`` (in kB) of a ``/proc`` status-like file."""
+    total = 0
     try:
-        with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        with open(path, encoding="ascii") as handle:
             for line in handle:
-                if line.startswith(field + ":"):
-                    return int(line.split()[1])
+                name, _, rest = line.partition(":")
+                if name in fields:
+                    total += int(rest.split()[0])
     except (OSError, ValueError, IndexError):
         return None
-    return None
+    return total
 
 
 def _child_pids() -> list[int]:
@@ -125,14 +129,33 @@ def _child_pids() -> list[int]:
     return children
 
 
-def peak_rss_mib() -> float:
-    """Peak RSS of this process plus the peaks of its live children, MiB.
+def reset_peak_rss() -> bool:
+    """Restart this process's RSS high-water mark at its current RSS.
 
-    Children are read from ``/proc/<pid>/status`` (``VmHWM``) while
-    they still run, so call this before tearing worker processes down.
+    Writing ``5`` to ``/proc/self/clear_refs`` resets ``VmHWM``, so a
+    later :func:`peak_rss_mib` covers only what ran after this call,
+    not the set-up before it. Returns whether the kernel allowed it.
     """
-    import resource
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
 
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = [_proc_status_kib(pid, "VmHWM") for pid in _child_pids()]
+
+def peak_rss_mib() -> float:
+    """Peak RSS of this process plus its live children's private memory, MiB.
+
+    This process's peak is ``VmHWM``, counted from the last
+    :func:`reset_peak_rss`. A forked worker shares the pages it
+    inherited with this process, so each child counts only its own
+    pages (``Private_Clean`` + ``Private_Dirty`` of ``smaps_rollup``),
+    read now; call this before tearing worker processes down.
+    """
+    own = _proc_kib("/proc/self/status", ("VmHWM",)) or 0
+    children = [
+        _proc_kib(f"/proc/{pid}/smaps_rollup", ("Private_Clean", "Private_Dirty"))
+        for pid in _child_pids()
+    ]
     return (own + sum(kib for kib in children if kib is not None)) / 1024.0

@@ -4,22 +4,15 @@ The benchmark measures per-layer cost without any hook inside
 ``repro``: :func:`Tracer.wrap` replaces a public function or method on
 its owner (a module or a class) with a wrapper that records a span per
 call, and :meth:`Tracer.restore` puts every original back. A span has a
-name, a start, an end, the thread it ran on and the span that caused it
-(the enclosing span on the same thread).
+name, a start, an end, and the span that caused it (the enclosing span
+on the same thread).
 
-Per-event layers would produce millions of spans, so the tracer keeps
-two views:
-
-* **aggregates**, always: per span name, the call count, inclusive
-  time, *self* time (inclusive minus the part covered by child spans)
-  and a free-form sum (for byte or event counts); a span nested in a
-  span of the same name (a method calling its base class) counts once,
-  as the outermost call;
-* **spans**, for names not listed in ``hot``: the individual records,
-  kept in memory and written out when the benchmark ends.
-
-:func:`self_times` recomputes self time offline from a span list, which
-is what the tests check the streaming aggregate against.
+Per-event layers produce millions of spans, so the tracer keeps no span
+records, only running aggregates per span name: the call count,
+inclusive time, *self* time (the span's duration minus the time its
+child spans took) and a free-form sum (for byte or event counts). A
+span nested in a span of the same name (a method calling its base
+class) counts once, as the outermost call.
 """
 
 from __future__ import annotations
@@ -27,73 +20,15 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from dataclasses import dataclass
 
-__all__ = ["Span", "Tracer", "self_times", "interval_union"]
-
-
-@dataclass(frozen=True)
-class Span:
-    """One recorded call: ``[start, end)`` on ``thread``, caused by ``parent``."""
-
-    index: int
-    name: str
-    start: float
-    end: float
-    parent: int | None
-    thread: int
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-def interval_union(intervals) -> float:
-    """Total length covered by a set of ``(start, end)`` intervals."""
-    total = 0.0
-    cur_start = cur_end = None
-    for start, end in sorted(intervals):
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
-
-
-def self_times(spans: list[Span]) -> dict[int, float]:
-    """Self time of every span: its duration minus its children's union.
-
-    Children are the spans whose ``parent`` is the span's index; the
-    part of the parent's interval they cover is subtracted once even
-    where children overlap, and a child reaching outside its parent is
-    clipped to the parent's interval.
-    """
-    children: dict[int, list[tuple[float, float]]] = {}
-    by_index = {span.index: span for span in spans}
-    for span in spans:
-        if span.parent is None:
-            continue
-        parent = by_index[span.parent]
-        start = max(span.start, parent.start)
-        end = min(span.end, parent.end)
-        if end > start:
-            children.setdefault(span.parent, []).append((start, end))
-    return {
-        span.index: span.duration - interval_union(children.get(span.index, ()))
-        for span in spans
-    }
+__all__ = ["Tracer"]
 
 
 class _Frame:
-    __slots__ = ("name", "index", "start", "child_time", "counted")
+    __slots__ = ("name", "start", "child_time", "counted")
 
-    def __init__(self, name, index, start, counted):
+    def __init__(self, name, start, counted):
         self.name = name
-        self.index = index
         self.start = start
         self.child_time = 0.0
         self.counted = counted
@@ -110,20 +45,16 @@ class _Aggregate:
 
 
 class Tracer:
-    """Collects spans from wrapped callables; see the module docstring.
+    """Aggregates spans from wrapped callables; see the module docstring.
 
-    ``hot`` names are aggregated only (no per-call span record).
     ``clock`` is injectable for tests.
     """
 
-    def __init__(self, hot=(), clock=time.perf_counter) -> None:
-        self.hot = frozenset(hot)
+    def __init__(self, clock=time.perf_counter) -> None:
         self.clock = clock
-        self.spans: list[Span] = []
         self._aggregates: dict[str, _Aggregate] = {}
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._next_index = 0
         self._patches: list[tuple[object, str, object]] = []
         #: Wall time covered by top-level spans, per thread ident.
         self.top_level_time: dict[int, float] = {}
@@ -139,12 +70,7 @@ class Tracer:
     def begin(self, name: str) -> None:
         stack = self._stack()
         counted = all(frame.name != name for frame in stack)
-        index = None
-        if name not in self.hot:
-            with self._lock:
-                index = self._next_index
-                self._next_index += 1
-        stack.append(_Frame(name, index, self.clock(), counted))
+        stack.append(_Frame(name, self.clock(), counted))
 
     def end(self, amount: float = 0.0) -> None:
         end = self.clock()
@@ -168,18 +94,6 @@ class Tracer:
                 ident = threading.get_ident()
                 self.top_level_time[ident] = (
                     self.top_level_time.get(ident, 0.0) + duration
-                )
-            if frame.index is not None:
-                parent_index = None
-                for outer in reversed(stack):
-                    if outer.index is not None:
-                        parent_index = outer.index
-                        break
-                self.spans.append(
-                    Span(
-                        frame.index, frame.name, frame.start, end,
-                        parent_index, threading.get_ident(),
-                    )
                 )
 
     # -- reading --------------------------------------------------------------

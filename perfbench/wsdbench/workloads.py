@@ -11,6 +11,7 @@ See README.md for why each workload exists and which layers it loads.
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import time
@@ -26,7 +27,7 @@ from repro.estimators.metrics import (
     mean_absolute_relative_error,
 )
 from repro.experiments import runner
-from repro.graph.stream import EventBlock
+from repro.graph.stream import EdgeStream, EventBlock
 from repro.samplers.checkpoint import sampler_state_dict, state_to_wire
 from repro.streams.executor import ExecutorOptions
 from repro.streams.ingest import ServiceClient
@@ -41,6 +42,7 @@ from wsdbench.inputs import (
     split_blocks,
     table_config,
 )
+from wsdbench.metrics import median
 
 __all__ = [
     "WORKLOADS",
@@ -54,9 +56,11 @@ __all__ = [
 #: Latency samples a window collects at least, so the 90th percentile
 #: has ten samples beyond it.
 MIN_PROBES = 100
-#: A window that cannot collect MIN_PROBES stops at this multiple of
-#: its nominal length anyway.
+#: A window stops at this multiple of its nominal length, whatever work
+#: is left, so a much slower program still ends within the time limit.
 MAX_STRETCH = 3.0
+#: Events per columnar block the block-pushing workloads send.
+BLOCK_EVENTS = 1024
 
 clock = time.perf_counter
 
@@ -105,6 +109,8 @@ class Window:
     #: Wall and self-reported seconds per algorithm (table-massive).
     trial_wall: dict[str, float] = field(default_factory=dict)
     trial_stopwatch: dict[str, float] = field(default_factory=dict)
+    #: Events per second of each closed segment (see :meth:`close_segment`).
+    segment_rates: list[float] = field(default_factory=list)
 
     @property
     def elapsed(self) -> float:
@@ -113,24 +119,46 @@ class Window:
 
     @property
     def events_per_s(self) -> float:
+        """The median segment rate; events over elapsed time without segments.
+
+        The host's speed wanders by tens of percent over a few seconds;
+        the median of a window's segments leaves slow stretches out.
+        Every run of one seed cuts the same segments.
+        """
+        if self.segment_rates:
+            return median(self.segment_rates)
         return self.events / self.elapsed if self.elapsed > 0 else 0.0
 
-    def time_checkpoint(self, ops: "Ops", fn, *args, excluded: bool) -> None:
-        """Run and time one checkpoint; ``excluded`` keeps it out of throughput."""
+    def mark(self) -> tuple[int, float, float]:
+        """The start of a segment: events, clock and paused time so far."""
+        return self.events, clock(), self.paused
+
+    def close_segment(self, mark: tuple[int, float, float]):
+        """Record the rate since ``mark``, paused time left out; start a new one."""
+        events, start, paused = mark
+        seconds = clock() - start - (self.paused - paused)
+        if seconds > 0:
+            self.segment_rates.append((self.events - events) / seconds)
+        return self.mark()
+
+    def time_checkpoint(self, ops: "Ops", fn, *args) -> None:
+        """Run and time one checkpoint, kept out of the throughput."""
         start = clock()
         ok, _ = ops.run(fn, *args)
         seconds = clock() - start
         if ok:
             self.checkpoints.append(seconds)
-        if excluded:
-            self.paused += seconds
+        self.paused += seconds
+
+
+def _overdue(start: float, seconds: float) -> bool:
+    return clock() - start >= seconds * MAX_STRETCH
 
 
 def _stop(start: float, seconds: float, samples: int) -> bool:
-    now = clock()
-    if now - start >= seconds * MAX_STRETCH:
+    if _overdue(start, seconds):
         return True
-    return now - start >= seconds and samples >= MIN_PROBES
+    return clock() - start >= seconds and samples >= MIN_PROBES
 
 
 # -- correctness gates (pure comparisons) -------------------------------------
@@ -293,8 +321,14 @@ class TableMassive:
                 break
         samplers = []
         for cell in cells:
+            # Fed the cell's insertions only, so every checkpoint
+            # serialises a full reservoir. At the end of the whole
+            # stream the reservoir holds whatever the cell's mass
+            # deletions left, a size that moves with the seed.
             sampler = cell.trial_sampler("WSD-H")
-            runner.run_sampler_trial(sampler, cell.stream, cell.truth)
+            sampler.process_stream(
+                EdgeStream([e for e in cell.stream if e.is_insertion])
+            )
             samplers.append(sampler)
         return {
             "cells": cells,
@@ -313,7 +347,9 @@ class TableMassive:
         seen: dict = ctx["seen"]
         cells = ctx["cells"]
         algs = TABLE_ALGORITHMS
+        round_trials = len(algs) * len(cells)
         start = clock()
+        mark = window.mark()
         while True:
             index = ctx["next"]
             ctx["next"] += 1
@@ -338,9 +374,12 @@ class TableMassive:
                     )
             if ctx["next"] % len(algs) == 0:
                 # One checkpoint per algorithm cycle, spread over the window.
-                window.time_checkpoint(
-                    ops, _checkpoint_frames, ctx["samplers"], excluded=True
-                )
+                window.time_checkpoint(ops, _checkpoint_frames, ctx["samplers"])
+            # Stop only after whole rounds over every (cell, algorithm)
+            # pair, so every window holds the same mix of trials; each
+            # round is one throughput segment.
+            if ctx["next"] % round_trials == 0:
+                mark = window.close_segment(mark)
                 if _stop(start, seconds, len(window.visible)):
                     break
         window.wall = clock() - start
@@ -406,13 +445,20 @@ class BlockWorkload:
     sent into a serial ``repro.open_stream`` session of the same config
     and stream name. ``ctx["last"]`` holds the final barrier read as
     ``(estimate, clock, shard_times)``.
+
+    A window sends a fixed number of blocks, sized from its nominal
+    length at ``window_rate`` events per second (:meth:`window_blocks`),
+    not as many as fit in the time. Blocks differ in cost (the
+    session's snapshot cycle, the sampler's changing state), so a
+    window that stopped on time would measure other blocks on a faster
+    run than on a slower one.
     """
 
     name = ""
     probe_every = 1
     checkpoint_every = 1
-    #: Whether checkpoint time is kept out of ``events_per_s``.
-    checkpoint_excluded = False
+    #: Events per second of nominal window length the window sends.
+    window_rate = 1
 
     def config(self, seed: int) -> StreamConfig:
         raise NotImplementedError
@@ -429,12 +475,29 @@ class BlockWorkload:
     def sent_blocks(self, ctx: dict) -> list[EventBlock]:
         return ctx["blocks"][: ctx["next"]]
 
+    def window_blocks(self, seconds: float) -> int:
+        """Blocks one window of ``seconds`` sends.
+
+        Enough for MIN_PROBES probes, rounded up to whole checkpoint
+        intervals: each interval is one throughput segment.
+        """
+        nominal = -(-int(self.window_rate * seconds) // BLOCK_EVENTS)
+        blocks = max(nominal, MIN_PROBES * self.probe_every)
+        return -(-blocks // self.checkpoint_every) * self.checkpoint_every
+
+    def run_events(self, seconds: float) -> int:
+        """Events set-up generates: one window, or the traced run's two halves."""
+        blocks = max(self.window_blocks(seconds), 2 * self.window_blocks(seconds / 2))
+        return blocks * BLOCK_EVENTS
+
     def window(self, ctx: dict, seconds: float) -> Window:
         window = Window()
         ops: Ops = ctx["ops"]
         blocks = ctx["blocks"]
+        end = min(len(blocks), ctx["next"] + self.window_blocks(seconds))
         start = clock()
-        while ctx["next"] < len(blocks):
+        mark = window.mark()
+        while ctx["next"] < end:
             block = blocks[ctx["next"]]
             t0 = clock()
             ok, _ = ops.run(self.send, ctx, block)
@@ -447,10 +510,9 @@ class BlockWorkload:
                 if ok:
                     window.visible.append(clock() - t0)
             if ctx["next"] % self.checkpoint_every == 0:
-                window.time_checkpoint(
-                    ops, self.checkpoint, ctx, excluded=self.checkpoint_excluded
-                )
-            if _stop(start, seconds, len(window.visible)):
+                window.time_checkpoint(ops, self.checkpoint, ctx)
+                mark = window.close_segment(mark)
+            if _overdue(start, seconds):
                 break
         ok, last = ops.run(self.read, ctx)
         window.wall = clock() - start
@@ -486,8 +548,6 @@ class BlockWorkload:
 DENSE_VERTICES = 400
 DENSE_BUDGET = 40_000
 DENSE_FILL = 55_000
-#: Churn events generated per second of window (headroom over the rate).
-DENSE_CHURN_PER_S = 40_000
 
 
 class DenseChurn(BlockWorkload):
@@ -499,8 +559,10 @@ class DenseChurn(BlockWorkload):
     #: workers. Its time is kept out of the throughput, and the cadence
     #: keeps the write-ahead log below the session's snapshot limit, so
     #: no other snapshot runs in the window.
-    checkpoint_every = 48
-    checkpoint_excluded = True
+    checkpoint_every = 50
+    #: Between today's rates on a quiet and a busy host (30k and 12k
+    #: ev/s on the recording box).
+    window_rate = 20_000
 
     def config(self, seed: int) -> StreamConfig:
         return StreamConfig(
@@ -510,7 +572,7 @@ class DenseChurn(BlockWorkload):
 
     def setup(self, seed: int, seconds: float, root: Path) -> dict:
         fill, churn = dense_churn_blocks(
-            seed, DENSE_VERTICES, DENSE_FILL, int(DENSE_CHURN_PER_S * seconds)
+            seed, DENSE_VERTICES, DENSE_FILL, self.run_events(seconds)
         )
         session = repro.open_stream(
             self.config(seed), name=self.name,
@@ -529,7 +591,7 @@ class DenseChurn(BlockWorkload):
             "seed": seed,
             "session": session,
             "fill": fill,
-            "blocks": split_blocks(churn, 1024),
+            "blocks": split_blocks(churn, BLOCK_EVENTS),
             "next": 0,
             "problems": [],
             "ops": Ops(),
@@ -556,18 +618,36 @@ class DenseChurn(BlockWorkload):
 # -- socket-sparse ----------------------------------------------------------------
 
 SOCKET_BUDGET = 10_000
-#: Stream events generated per second of window (headroom over the rate).
-SOCKET_EVENTS_PER_S = 200_000
 
 
 class SocketSparse(BlockWorkload):
-    """A loopback ``CountingService`` fed by one ``ServiceClient``."""
+    """A loopback ``CountingService`` fed by one ``ServiceClient``.
+
+    Set-up pins the benchmark process to one CPU before the service
+    starts its threads. The client, the asyncio front and the session's
+    executor thread share one interpreter lock; on a virtual machine
+    each hand-off of that lock between two CPUs wakes a halted virtual
+    CPU, and the host's wake-up delay depends on its other tenants. On
+    a 2-vCPU recording box unpinned runs lost 5-20 % of their CPU time
+    to the host (steal) and throughput moved by a factor of two between
+    runs of the same inputs; pinned, the hand-offs stay on one CPU.
+    Teardown restores the affinity.
+    """
 
     name = "socket-sparse"
-    probe_every = 4
-    #: Durable checkpoints run beside ingest and count in its throughput.
-    checkpoint_every = 80
-    checkpoint_excluded = False
+    #: Every block is followed by its barrier read (lockstep): one
+    #: CPU serves client and server, so sending ahead buys no overlap,
+    #: only forced lock hand-offs mid-block.
+    probe_every = 1
+    #: A durable checkpoint's time is dominated by the file system's
+    #: sync latency, which the program does not control; it is reported
+    #: as ``checkpoint_p50_ms`` and kept out of the throughput. Between
+    #: checkpoints the session's own in-memory snapshots (every
+    #: ``DEFAULT_WAL_LIMIT`` events) run inside ingest, as in any hosted
+    #: stream.
+    checkpoint_every = 256
+    #: About today's rate, so a window lasts about its nominal length.
+    window_rate = 350_000
 
     def config(self, seed: int) -> StreamConfig:
         return StreamConfig(
@@ -575,7 +655,8 @@ class SocketSparse(BlockWorkload):
         )
 
     def setup(self, seed: int, seconds: float, root: Path) -> dict:
-        stream = sparse_light_deletion_block(seed, int(SOCKET_EVENTS_PER_S * seconds))
+        affinity = _pin_to_one_cpu()
+        stream = sparse_light_deletion_block(seed, self.run_events(seconds))
         state_dir = _temp_dir(root)
         service = CountingService(
             ServiceConfig(state_dir=state_dir, checkpoint_interval=None)
@@ -589,13 +670,15 @@ class SocketSparse(BlockWorkload):
                 client.close()
             service.stop()
             shutil.rmtree(state_dir, ignore_errors=True)
+            _restore_affinity(affinity)
             raise
         return {
             "seed": seed,
+            "affinity": affinity,
             "service": service,
             "client": client,
             "state_dir": state_dir,
-            "blocks": split_blocks(stream, 1024),
+            "blocks": split_blocks(stream, BLOCK_EVENTS),
             "next": 0,
             "problems": [],
             "ops": Ops(),
@@ -618,6 +701,25 @@ class SocketSparse(BlockWorkload):
             ctx["service"].stop()
         finally:
             shutil.rmtree(ctx["state_dir"], ignore_errors=True)
+            _restore_affinity(ctx["affinity"])
+
+
+def _pin_to_one_cpu() -> set[int] | None:
+    """Pin the calling thread, and the threads it starts, to one CPU.
+
+    Returns the previous affinity, or ``None`` where the platform has no
+    affinity call.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    previous = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(previous)})
+    return previous
+
+
+def _restore_affinity(previous: set[int] | None) -> None:
+    if previous is not None:
+        os.sched_setaffinity(0, previous)
 
 
 WORKLOADS = {
