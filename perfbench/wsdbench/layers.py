@@ -17,6 +17,7 @@ from wsdbench.tracing import Tracer
 
 __all__ = ["install", "layer_metrics", "HandoffClock"]
 
+
 class HandoffClock:
     """Pairs client block sends with server-side ingest starts by ordinal.
 
