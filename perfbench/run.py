@@ -215,4 +215,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from wsdbench.processes import stop_children
+
+    try:
+        code = main()
+    finally:
+        stop_children()
+    sys.exit(code)
