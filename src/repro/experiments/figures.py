@@ -324,6 +324,7 @@ def figure_weight_relationship(
             "WSD-L", pattern, budget,
             rng=factory.generator(f"run-{run_idx}"), policy=policy,
         )
+        # Per-event on purpose: the average needs each insertion's last_weight.
         for event in stream:
             sampler.process(event)
             if event.is_insertion and sampler.last_weight is not None:

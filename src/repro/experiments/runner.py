@@ -3,12 +3,16 @@
 Running one table cell means: build the stream once (deterministic given
 the config seed), compute the exact checkpoint trace once, then run N
 independent sampler trials against the cached truth — timing only the
-sampler — and aggregate ARE/MARE/time. The paper averages 100 sampling
+sampler — and aggregate ARE/MARE/time. A trial feeds the sampler one
+checkpoint segment at a time through ``process_batch``, the same batched
+path that ``process_stream``, sessions and the service run, so the
+tables time the production path. The paper averages 100 sampling
 repetitions per cell; the default here is smaller but configurable.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +22,7 @@ from repro.estimators.metrics import (
     absolute_relative_error,
     mean_absolute_relative_error,
 )
+from repro.estimators.tracker import checkpoint_schedule, checkpoint_segments
 from repro.experiments.algorithms import make_sampler
 from repro.experiments.config import ExperimentConfig
 from repro.graph.stream import EdgeStream
@@ -38,6 +43,8 @@ __all__ = [
     "run_algorithm",
     "run_cell",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -95,19 +102,13 @@ def compute_ground_truth(
     stream: EdgeStream, pattern: str, num_checkpoints: int
 ) -> GroundTruthTrace:
     """Exact counts of ``pattern`` at ``num_checkpoints`` even checkpoints."""
-    if num_checkpoints < 1:
-        raise ConfigurationError("num_checkpoints must be >= 1")
+    checkpoints = checkpoint_schedule(len(stream), num_checkpoints)
     counter = ExactCounter(pattern)
-    n = len(stream)
-    step = max(1, n // num_checkpoints)
-    checkpoints: list[int] = []
-    truths: list[int] = []
-    for i, event in enumerate(stream, start=1):
-        counter.process(event)
-        if i % step == 0 or i == n:
-            checkpoints.append(i)
-            truths.append(counter.count)
-    return GroundTruthTrace(tuple(checkpoints), tuple(truths))
+    truths = tuple(
+        counter.process_stream(segment)
+        for _, segment in checkpoint_segments(stream, checkpoints)
+    )
+    return GroundTruthTrace(checkpoints, truths)
 
 
 def run_sampler_trial(
@@ -115,43 +116,44 @@ def run_sampler_trial(
 ) -> TrialResult:
     """Run one sampler over the stream, sampling estimates at checkpoints.
 
+    The sampler consumes the stream one checkpoint segment at a time
+    through ``process_batch``, which is bit-identical to per-event
+    ``process`` whatever the segment bounds, so the estimates match an
+    event-at-a-time run exactly. A checkpoint beyond the stream raises
+    :class:`ConfigurationError`.
+
     Consumers exposing ``close()`` (the process-backend executor) are
     closed when the trial ends, successfully or not, so worker
-    processes never outlive their trial. The stopwatch brackets both
-    the per-event ingestion *and* the checkpoint estimate reads: for
-    the process backend an estimate read is the synchronisation barrier
+    processes never outlive their trial. The stopwatch brackets each
+    segment's ingestion *and* its checkpoint estimate read: for the
+    process backend an estimate read is the synchronisation barrier
     where the pipelined ingestion actually completes, so excluding it
     would record enqueue-side time only and make the reported seconds
     incomparable with serial rows.
     """
-    targets = set(truth.checkpoints)
     estimates: list[float] = []
     watch = Stopwatch()
-    n = len(stream)
     close = getattr(sampler, "close", None)
     try:
-        for i, event in enumerate(stream, start=1):
+        for _, segment in checkpoint_segments(stream, truth.checkpoints):
             with watch:
-                sampler.process(event)
-            if i in targets:
-                with watch:
-                    estimates.append(sampler.estimate)
+                estimates.append(sampler.process_batch(segment))
     except BaseException:
         # The trial failure is the interesting exception; a teardown
-        # failure on top of it is suppressed so it cannot mask it.
+        # failure on top of it is logged, not raised, so it cannot
+        # mask it.
         if close is not None:
             try:
                 close()
             except Exception:
-                pass
+                logger.debug(
+                    "closing %s after a failed trial also failed",
+                    type(sampler).__name__,
+                    exc_info=True,
+                )
         raise
     if close is not None:
         close()  # clean trial: a teardown failure is a real failure
-    if len(estimates) != len(truth.checkpoints):
-        raise ConfigurationError(
-            f"checkpoint mismatch: {len(estimates)} estimates vs "
-            f"{len(truth.checkpoints)} truths over {n} events"
-        )
     return TrialResult(tuple(estimates), watch.elapsed, truth.final_truth)
 
 

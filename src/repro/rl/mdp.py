@@ -160,6 +160,7 @@ class SamplingEpisode:
         prev_error: float | None = None
         since_update = 0
 
+        # Per-event on purpose: each insertion is one MDP step with its own context.
         for event in stream:
             sampler.process(event)
             exact.process(event)

@@ -15,9 +15,10 @@ class Stopwatch:
     while excluding ground-truth bookkeeping::
 
         sw = Stopwatch()
-        with sw:
-            sampler.process(event)
-        ... ground truth update, not timed ...
+        for checkpoint, segment in checkpoint_segments(stream, checkpoints):
+            with sw:
+                estimates.append(sampler.process_batch(segment))
+            ... ground truth update, not timed ...
         print(sw.elapsed)
     """
 

@@ -10,8 +10,10 @@ from repro.estimators.metrics import (
 from repro.estimators.tracker import EstimateTrace, run_with_trace
 from repro.graph.generators import powerlaw_cluster
 from repro.patterns.exact import ExactCounter
+from repro.samplers.thinkd import ThinkD
 from repro.samplers.wsd import WSD
 from repro.streams.scenarios import light_deletion_stream
+from repro.utils.timer import Stopwatch
 from repro.weights.heuristic import UniformWeight
 
 
@@ -91,3 +93,35 @@ class TestRunWithTrace:
         sampler = WSD("triangle", 50, UniformWeight(), rng=2)
         with pytest.raises(ConfigurationError):
             run_with_trace(sampler, workload, num_checkpoints=0)
+
+    @pytest.mark.parametrize("num_checkpoints", [1, 7, 50, 10_000])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WSD("triangle", 50, UniformWeight(), rng=2),
+            lambda: ThinkD("wedge", 40, rng=3),
+        ],
+        ids=["wsd-triangle", "thinkd-wedge"],
+    )
+    def test_segmented_trace_matches_per_event(
+        self, workload, build, num_checkpoints
+    ):
+        """The segmented ``process_batch`` trace equals the former
+        event-at-a-time loop exactly, checkpoints and truths included."""
+        sampler, exact = build(), ExactCounter(build().pattern)
+        n = len(workload)
+        step = max(1, n // num_checkpoints)
+        expected = EstimateTrace()
+        watch = Stopwatch()
+        for i, event in enumerate(workload, start=1):
+            with watch:
+                sampler.process(event)
+            exact.process(event)
+            if i % step == 0 or i == n:
+                expected.checkpoints.append(i)
+                expected.estimates.append(sampler.estimate)
+                expected.truths.append(exact.count)
+        trace = run_with_trace(build(), workload, num_checkpoints)
+        assert trace.checkpoints == expected.checkpoints
+        assert trace.estimates == expected.estimates
+        assert trace.truths == expected.truths

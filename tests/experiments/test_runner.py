@@ -1,9 +1,12 @@
 """Tests for the experiment runner and the algorithm factory."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.estimators.tracker import checkpoint_schedule
 from repro.experiments.algorithms import (
     ALGORITHMS,
     DYNAMIC_ALGORITHMS,
@@ -13,21 +16,33 @@ from repro.experiments.algorithms import (
 )
 from repro.experiments.config import LIGHT, ExperimentConfig
 from repro.experiments.runner import (
+    GroundTruthTrace,
     compute_ground_truth,
+    make_trial_sampler,
     run_algorithm,
     run_cell,
     run_sampler_trial,
 )
 from repro.graph.generators import powerlaw_cluster
 from repro.patterns.exact import ExactCounter
-from repro.rl.policy import Policy
+from repro.patterns.matching import get_pattern
+from repro.rl.policy import FrozenPolicy, Policy
 from repro.samplers.gps import GPS
 from repro.samplers.gps_a import GPSA
 from repro.samplers.thinkd import ThinkD
 from repro.samplers.triest import Triest
 from repro.samplers.wrs import WRS
 from repro.samplers.wsd import WSD
-from repro.streams.scenarios import light_deletion_stream
+from repro.streams.scenarios import (
+    light_deletion_stream,
+    massive_deletion_stream,
+)
+from repro.utils.rng import RngFactory
+from repro.utils.timer import Stopwatch
+from repro.weights import state_dimension
+
+#: The algorithms of the paper's tables.
+TABLE_ALGORITHMS = ("WSD-L", "WSD-H", "GPS-A", "Triest", "ThinkD", "WRS")
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +127,151 @@ class TestRunSamplerTrial:
         assert len(result.estimates) == len(truth.checkpoints)
         assert result.seconds > 0.0
         assert result.final_truth == truth.final_truth
+
+
+def per_event_trial(sampler, stream, truth):
+    """The runner's former event-at-a-time trial loop: the oracle the
+    segmented ``run_sampler_trial`` must match bit for bit."""
+    targets = set(truth.checkpoints)
+    estimates = []
+    watch = Stopwatch()
+    for i, event in enumerate(stream, start=1):
+        with watch:
+            sampler.process(event)
+        if i in targets:
+            with watch:
+                estimates.append(sampler.estimate)
+    return tuple(estimates)
+
+
+@pytest.fixture(scope="module")
+def massive_stream():
+    edges = powerlaw_cluster(120, m=4, triangle_probability=0.7, rng=3)
+    stream = massive_deletion_stream(edges, alpha=0.02, rng=4)
+    assert stream.num_deletions > 0
+    return stream
+
+
+def frozen_policy(pattern):
+    dim = state_dimension(get_pattern(pattern).num_edges)
+    return FrozenPolicy(np.linspace(0.05, 0.45, dim), 0.1)
+
+
+def assert_trial_matches_per_event(name, pattern, stream, truth, **kwargs):
+    def build():
+        return make_trial_sampler(
+            name, pattern, 60, RngFactory(7), 0, **kwargs
+        )
+
+    expected = per_event_trial(build(), stream, truth)
+    result = run_sampler_trial(build(), stream, truth)
+    assert result.estimates == expected
+    assert len(expected) == len(truth.checkpoints)
+
+
+class TestSegmentedTrial:
+    """``run_sampler_trial`` feeds checkpoint segments to ``process_batch``;
+    its estimates must equal the per-event loop's exactly."""
+
+    @pytest.mark.parametrize("pattern", ["triangle", "wedge"])
+    @pytest.mark.parametrize("name", TABLE_ALGORITHMS)
+    def test_table_algorithms_bit_identical(self, name, pattern, massive_stream):
+        truth = compute_ground_truth(massive_stream, pattern, 10)
+        policy = frozen_policy(pattern) if name == "WSD-L" else None
+        assert_trial_matches_per_event(
+            name, pattern, massive_stream, truth, policy=policy
+        )
+
+    @pytest.mark.parametrize("shard_mode", ["partition", "broadcast"])
+    def test_sharded_serial_executor_bit_identical(
+        self, shard_mode, massive_stream
+    ):
+        truth = compute_ground_truth(massive_stream, "triangle", 10)
+        assert_trial_matches_per_event(
+            "WSD-H", "triangle", massive_stream, truth,
+            shards=2, shard_mode=shard_mode,
+        )
+
+    def test_length_not_a_multiple_of_checkpoints(self, massive_stream):
+        stream = massive_stream[: 7 * 41 + 3]
+        truth = compute_ground_truth(stream, "triangle", 7)
+        assert len(stream) % 7 != 0
+        assert truth.checkpoints[-1] == len(stream)
+        assert_trial_matches_per_event("GPS-A", "triangle", stream, truth)
+
+    def test_stream_shorter_than_checkpoints(self, massive_stream):
+        stream = massive_stream[:6]
+        truth = compute_ground_truth(stream, "triangle", 10)
+        assert truth.checkpoints == (1, 2, 3, 4, 5, 6)
+        assert_trial_matches_per_event("WSD-H", "triangle", stream, truth)
+
+    def test_truth_beyond_the_stream_raises(self, massive_stream):
+        stream = massive_stream[:50]
+        truth = GroundTruthTrace(
+            tuple(range(10, 70, 10)), tuple(range(6))
+        )
+        sampler = make_sampler("WSD-H", "triangle", 20, rng=0)
+        with pytest.raises(ConfigurationError, match="checkpoint mismatch"):
+            run_sampler_trial(sampler, stream, truth)
+
+    def test_ground_truth_schedule_matches_modulo_rule(self):
+        """The shared schedule keeps ``compute_ground_truth``'s former
+        rule: every ``n // k``-th event, plus the last one."""
+        for n in range(0, 40):
+            for k in range(1, 12):
+                step = max(1, n // k)
+                expected = tuple(
+                    i for i in range(1, n + 1) if i % step == 0 or i == n
+                )
+                assert checkpoint_schedule(n, k) == expected
+
+
+class _FailingTrialSampler:
+    """A consumer whose ingestion and teardown both fail."""
+
+    def __init__(self):
+        self.closed = 0
+
+    def process_batch(self, events):
+        raise RuntimeError("ingestion failed")
+
+    def close(self):
+        self.closed += 1
+        raise OSError("teardown failed")
+
+
+class TestTrialTeardown:
+    def test_teardown_failure_is_logged_and_trial_error_raised(
+        self, workload, caplog
+    ):
+        stream, truth = workload
+        sampler = _FailingTrialSampler()
+        with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+            with pytest.raises(RuntimeError, match="ingestion failed"):
+                run_sampler_trial(sampler, stream, truth)
+        assert sampler.closed == 1
+        records = [
+            r for r in caplog.records if r.name == "repro.experiments.runner"
+        ]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].exc_info[0] is OSError
+
+    def test_clean_trial_teardown_failure_raises(self, workload):
+        stream, truth = workload
+
+        class CloseFails:
+            def __init__(self):
+                self.inner = make_sampler("ThinkD", "triangle", 40, rng=1)
+
+            def process_batch(self, events):
+                return self.inner.process_batch(events)
+
+            def close(self):
+                raise OSError("teardown failed")
+
+        with pytest.raises(OSError, match="teardown failed"):
+            run_sampler_trial(CloseFails(), stream, truth)
 
 
 class TestRunAlgorithm:
