@@ -326,7 +326,7 @@ class DynamicAdjacency:
         Checkpoint restore uses this: which vertices hold slabs is
         *history-dependent* (hysteresis keeps a slab down to half the
         cutoff), so rebuilding a graph from its surviving edges alone
-        can under-slab it; the v3 checkpoint records the exact set and
+        can under-slab it; the checkpoint records the exact set and
         replays it here so the restored sampler's adaptive query
         routing — and therefore its float accumulation order — matches
         the uninterrupted run's.

@@ -129,7 +129,7 @@ def set_arena_cutoff(cutoff: int | None) -> int | None:
 
     ``None`` restores the library default. Construction-time, and part
     of a sampler's trajectory contract: two runs (or a checkpointed
-    continuation — the v3 format records it) must use the same cutoff
+    continuation — the checkpoint records it) must use the same cutoff
     for their adaptive query routing, and therefore their float
     accumulation order, to agree.
     """

@@ -59,7 +59,7 @@ from itertools import islice
 
 import numpy as np
 
-from repro.errors import ConfigurationError, WorkerCrashError
+from repro.errors import ConfigurationError, PeerLostError, WorkerCrashError
 from repro.estimators.combine import (
     combine_mean,
     combine_partition,
@@ -923,21 +923,48 @@ class ShardedStreamExecutor:
         """Checkpoint every shard; return the per-shard state dicts.
 
         The states come from the generic checkpoint layer
-        (:func:`~repro.samplers.checkpoint.sampler_state_dict`) and are
-        JSON-serialisable. On the process backend the buffer is flushed
-        and every worker barriered first, so the snapshot covers every
-        event handed to the executor; the result is also retained as the
+        (:func:`~repro.samplers.checkpoint.sampler_state_dict`): scalars
+        plus numpy state columns, which
+        :func:`~repro.samplers.checkpoint.state_to_wire` frames for
+        files and sockets. On the process backend the buffer is flushed and
+        every worker barriered first, so the snapshot covers every
+        event handed to the executor. The request then goes to every
+        worker before any reply is collected, so the shards extract
+        their states in parallel. The result is also retained as the
         restart point for :meth:`restart_shard`.
         """
         if self._process_active:
             self._sync()
-            states = [
-                worker.request("snapshot")[2] for worker in self._workers
-            ]
+            states = self._gather("snapshot")
         else:
             states = [sampler_state_dict(shard) for shard in self.shards]
         self._snapshots = states
         return states
+
+    def _gather(self, tag: str) -> list:
+        """Send ``tag`` to every worker, then collect each reply's payload.
+
+        Every request that went out is awaited, even after a failure,
+        so surviving workers have no reply left queued; the first
+        failure is raised once all are collected.
+        """
+        tokens = []
+        failure = None
+        for worker in self._workers:
+            try:
+                tokens.append(worker.send_request(tag))
+            except (WorkerCrashError, PeerLostError) as exc:
+                failure = exc
+                break
+        payloads = []
+        for worker, token in zip(self._workers, tokens):
+            try:
+                payloads.append(worker.await_reply(tag, token)[2])
+            except (WorkerCrashError, PeerLostError) as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return payloads
 
     def restart_shard(
         self,

@@ -64,6 +64,7 @@ bit-identity a transport property rather than a per-backend proof.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import pickle
 import queue
@@ -84,6 +85,8 @@ from repro.streams.transport import (
 )
 from repro.utils.text import clip_text
 from repro.weights.registry import weight_spec_for
+
+logger = logging.getLogger(__name__)
 
 try:  # pragma: no cover - import guard for exotic builds
     from multiprocessing import shared_memory as _shared_memory
@@ -509,7 +512,10 @@ class ProcessShardTransport(ShardTransport):
         try:
             self.release()
         except Exception:
-            pass
+            logger.debug(
+                "shard %s: releasing the slot ring at teardown failed",
+                getattr(self, "shard_index", None), exc_info=True,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         status = "alive" if self.is_alive() else "dead"
@@ -736,8 +742,12 @@ class ShardWorker:
         self._raise_if_failed(reply)
         return reply
 
-    def request(self, tag: str):
-        """Send a ``tag`` request and block for its matching reply."""
+    def send_request(self, tag: str) -> int:
+        """Send a ``tag`` request without waiting; return its token.
+
+        Every token sent must be collected with :meth:`await_reply`, in
+        order, before the next request — replies carry no other key.
+        """
         if self._failure is not None:
             raise self._crash()
         token = self._token = self._token + 1
@@ -745,6 +755,10 @@ class ShardWorker:
             self.transport.send((tag, token))
         except TransportClosed as exc:
             raise self._closed(exc) from None
+        return token
+
+    def await_reply(self, tag: str, token: int):
+        """Block for the reply to the request :meth:`send_request` sent."""
         reply = self._get()
         if reply[0] != tag or reply[1] != token:
             self._failure = (
@@ -753,6 +767,10 @@ class ShardWorker:
             )
             raise self._crash()
         return reply
+
+    def request(self, tag: str):
+        """Send a ``tag`` request and block for its matching reply."""
+        return self.await_reply(tag, self.send_request(tag))
 
     def stop(self, timeout: float | None = None) -> dict:
         """Stop the worker cleanly; return its final checkpoint state."""
@@ -772,10 +790,16 @@ class ShardWorker:
         self.transport.kill()
 
     def __del__(self):  # pragma: no cover - GC-order dependent
+        transport = getattr(self, "transport", None)
+        if transport is None:  # __init__ failed before building one
+            return
         try:
-            self.transport.release()
+            transport.release()
         except Exception:
-            pass
+            logger.debug(
+                "shard %s: releasing the transport at teardown failed",
+                self.shard_index, exc_info=True,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         status = "alive" if self.is_alive() else "dead"

@@ -11,9 +11,14 @@ The recipe is the classic POSIX one: write the payload to a temporary
 file in the *same directory* (so the final rename cannot cross a
 filesystem boundary), flush and ``fsync`` the temporary file so the
 bytes are on disk before the rename publishes them, then
-``os.replace`` — an atomic rename that overwrites any existing file.
-The temporary file is unlinked on any failure, so aborted writes leave
-no debris next to the real checkpoints.
+``os.replace`` — an atomic rename that overwrites any existing file —
+and finally ``fsync`` the directory, because the rename lives in the
+directory's entries, not in the file: without that sync a committed
+rename (the service's manifest commit point) can vanish on power loss
+on common filesystems (Pillai et al., "All File Systems Are Not
+Created Equal", OSDI 2014). The temporary file is unlinked on any
+failure, so aborted writes leave no debris next to the real
+checkpoints.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ __all__ = ["atomic_write_bytes", "atomic_write_text"]
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (write-tmp + ``os.replace``).
 
-    The payload is fsynced before the rename, so after this returns the
-    new contents survive a crash; a reader racing the write sees either
-    the previous file or the complete new one.
+    The payload is fsynced before the rename and the directory after
+    it, so after this returns the new contents survive a crash; a
+    reader racing the write sees either the previous file or the
+    complete new one.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -48,6 +54,12 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         except OSError:
             pass
         raise
+    if os.name == "posix":  # directories cannot be opened on Windows
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 def atomic_write_text(

@@ -12,7 +12,7 @@ The built-in heuristic weights register themselves below; a custom
 :class:`~repro.weights.base.WeightFunction` becomes remotable by
 calling :func:`register_weight_spec` on both the coordinator and every
 host (typically at import time of the module defining it). WSD-L's
-learned weights never need a spec at all: format-v4 checkpoints embed
+learned weights never need a spec at all: checkpoints embed
 the frozen actor, and :func:`~repro.samplers.checkpoint.restore_sampler`
 rebuilds the weight function from the state itself when none is
 supplied — so a lease for a learned-weight shard ships ``spec=None``
@@ -116,7 +116,7 @@ def weight_spec_for(weight_fn) -> tuple[str, dict] | None:
     if weight_fn is None:
         return None
     # Learned weights are reconstructed from the checkpoint's embedded
-    # policy (format v4); the lease deliberately carries no spec.
+    # policy; the lease deliberately carries no spec.
     name = getattr(type(weight_fn), "name", None)
     if name == "learned":
         return None

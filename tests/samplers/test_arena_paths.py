@@ -4,8 +4,8 @@ The sorted-slab arena reroutes the triangle/clique estimator work when
 both endpoints are dense. These tests pin the contracts that make that
 safe: per-event == batched == block bit-identity with slabs engaged,
 arena-on vs arena-off agreement within float-regrouping tolerance,
-checkpoint v3 round-trips as bit-identical continuations (including the
-hysteresis-dependent slab set), v2 documents still loading, and the
+checkpoint round-trips as bit-identical continuations (including the
+hysteresis-dependent slab set), and the
 payload lanes staying coherent with the sampler state they mirror
 (weights across threshold generations, waiting-room membership across
 WR exits).
@@ -205,7 +205,7 @@ class TestCheckpointV3:
         first = MAKERS[name]("triangle")
         first.process_batch(events[:half])
         state = sampler_state_dict(first)
-        assert state["format"] == 4  # current format still carries arena state
+        assert state["format"] == 5  # current format still carries arena state
         weight_fn = (
             first.weight_fn if hasattr(first, "weight_fn") else None
         )
@@ -223,7 +223,7 @@ class TestCheckpointV3:
 
         Degree in [cutoff/2, cutoff) keeps an existing slab alive but
         would not rebuild one from scratch — replay alone under-slabs
-        the graph, so the v3 slab list is what restores it.
+        the graph, so the checkpoint's slab column is what restores it.
         """
         sampler = WSD("triangle", 400, UniformWeight(), rng=1)
         graph = sampler._sampled_graph
@@ -235,7 +235,8 @@ class TestCheckpointV3:
         assert 0 in graph.slabbed_vertices()
         assert graph.degree(0) < graph.slab_cutoff
         state = sampler_state_dict(sampler)
-        assert ["i", 0] in state["arena"]["slabbed"]
+        slabbed = state["columns"]["arena.slabbed"].tolist()
+        assert 0 in [state["labels"][i] for i in slabbed]
         restored = restore_sampler(state, sampler.weight_fn)
         assert 0 in restored._sampled_graph.slabbed_vertices()
         # And the continuation stays bit-identical to never stopping.
@@ -244,23 +245,6 @@ class TestCheckpointV3:
             sampler.process(event)
             restored.process(event)
         assert restored.estimate == sampler.estimate
-
-    def test_v2_document_still_loads(self):
-        events = stream_for("wsd")
-        sampler = MAKERS["wsd"]("triangle")
-        sampler.process_batch(events[:1500])
-        state = sampler_state_dict(sampler)
-        v2 = {k: v for k, v in state.items() if k != "arena"}
-        v2["format"] = 2
-        restored = restore_sampler(v2, sampler.weight_fn)
-        # Replay-derived slabs only (degree >= cutoff) — a valid
-        # sampler whose estimates agree within regrouping tolerance.
-        restored.process_batch(events[1500:])
-        sampler.process_batch(events[1500:])
-        rel = abs(restored.estimate - sampler.estimate) / max(
-            abs(sampler.estimate), 1e-12
-        )
-        assert rel <= 1e-6
 
 
 class TestAdjacencyArenaApi:

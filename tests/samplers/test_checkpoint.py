@@ -1,11 +1,17 @@
 """Tests for sampler checkpoint/restore (WSD and the kernel family)."""
 
 import json
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.generators import powerlaw_cluster
+from repro.graph.stream import EdgeEvent
+from repro.patterns import get_pattern
+from repro.rl.policy import FrozenPolicy
 from repro.samplers import GPS, GPSA, WRS, ThinkD, Triest
 from repro.samplers.checkpoint import (
     load_sampler,
@@ -15,11 +21,15 @@ from repro.samplers.checkpoint import (
     sampler_state_dict,
     save_sampler,
     save_wsd,
+    state_from_wire,
+    state_to_wire,
     wsd_state_dict,
 )
 from repro.samplers.wsd import WSD
 from repro.streams.scenarios import light_deletion_stream
+from repro.weights.features import state_dimension
 from repro.weights.heuristic import GPSHeuristicWeight
+from repro.weights.learned import LearnedWeight
 
 
 @pytest.fixture(scope="module")
@@ -100,41 +110,37 @@ class TestCheckpoint:
                 edge
             ) == sampler.inclusion_probability(edge)
 
-    def test_v1_checkpoint_still_restores(self, stream):
-        """Format-1 (WSD-only) checkpoints written before the kernel
-        refactor restore correctly: τq maps onto the kernel threshold
-        and the missing generation counter resets to zero."""
-        sampler = fresh_sampler()
-        for event in stream[:300]:
-            sampler.process(event)
-        state = wsd_state_dict(sampler)
-        v1 = {
-            "format": 1,
-            "pattern": state["pattern"],
-            "budget": state["budget"],
-            "rank_fn": state["rank_fn"],
-            "tau_p": state["tau_p"],
-            "tau_q": state["tau_q"],
-            "estimate": state["estimate"],
-            "time": state["time"],
-            "reservoir": [
-                {k: e[k] for k in ("u", "v", "rank", "weight", "time")}
-                for e in state["reservoir"]
-            ],
-            "rng_state": state["rng_state"],
-        }
-        restored = restore_wsd(v1, GPSHeuristicWeight())
-        assert restored.estimate == sampler.estimate
-        assert restored.tau_q == sampler.tau_q
-        assert restored.tau_q_generation == 0
-        assert set(restored.sampled_edges()) == set(sampler.sampled_edges())
-
     def test_state_is_json_serialisable(self, stream):
+        """Everything but the columns is plain JSON; the columns are
+        1-D arrays of the frame's closed dtype set."""
         sampler = fresh_sampler()
         for event in stream[:200]:
             sampler.process(event)
-        text = json.dumps(wsd_state_dict(sampler))
+        state = wsd_state_dict(sampler)
+        columns = state.pop("columns")
+        text = json.dumps(state)
         assert json.loads(text)["pattern"] == "triangle"
+        assert len(columns["reservoir.u"]) == sampler.sample_size
+        for column in columns.values():
+            assert isinstance(column, np.ndarray) and column.ndim == 1
+            assert column.dtype.str in ("<i8", "<f8", "|b1")
+
+    def test_older_formats_fail_closed(self, stream):
+        """Format 1-4 states (one JSON object per reservoir entry) and
+        version-1 frames are refused with errors naming the version."""
+        sampler = fresh_sampler()
+        for event in stream[:200]:
+            sampler.process(event)
+        state = wsd_state_dict(sampler)
+        state["format"] = 4
+        with pytest.raises(ConfigurationError, match="format 4"):
+            restore_wsd(state, GPSHeuristicWeight())
+        payload = json.dumps({"format": 4, "algorithm": "wsd"}).encode()
+        v1_frame = struct.pack(
+            "<4sBxxxIQ", b"RPCK", 1, zlib.crc32(payload), len(payload)
+        ) + payload
+        with pytest.raises(ProtocolError, match="version 1"):
+            state_from_wire(v1_frame)
 
     def test_file_round_trip(self, stream, tmp_path):
         sampler = fresh_sampler()
@@ -162,6 +168,21 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError):
             restore_wsd(state, GPSHeuristicWeight())
 
+    def test_big_int_vertices_round_trip(self):
+        """Labels ship in the JSON header, so ints beyond int64 survive."""
+        from repro.graph.stream import EdgeEvent
+
+        big = 2**70
+        sampler = WSD("triangle", 10, GPSHeuristicWeight(), rng=0)
+        for u, v in ((big, big + 1), (big + 1, 3), (3, big)):
+            sampler.process(EdgeEvent.insertion(u, v))
+        restored = restore_wsd(
+            state_from_wire(state_to_wire(wsd_state_dict(sampler))),
+            GPSHeuristicWeight(),
+        )
+        assert set(restored.sampled_edges()) == set(sampler.sampled_edges())
+        assert restored.estimate == sampler.estimate
+
     def test_string_vertices_supported(self):
         sampler = WSD("triangle", 10, GPSHeuristicWeight(), rng=0)
         from repro.graph.stream import EdgeEvent
@@ -185,35 +206,54 @@ def _insertion_only(stream):
     return [e for e in stream if e.is_insertion]
 
 
+def _wsd_l(pattern):
+    """WSD-L on a frozen actor (the kernels' block-serving path)."""
+    dim = state_dimension(get_pattern(pattern).num_edges)
+    policy = FrozenPolicy(np.linspace(0.05, 0.45, dim), 0.1)
+    return WSD(pattern, 40, LearnedWeight(policy), rng=9)
+
+
+ALGORITHMS = {
+    "wsd": lambda p: WSD(p, 40, GPSHeuristicWeight(), rng=9),
+    "gps": lambda p: GPS(p, 40, GPSHeuristicWeight(), rng=9),
+    "gps-a": lambda p: GPSA(p, 40, GPSHeuristicWeight(), rng=9),
+    "thinkd": lambda p: ThinkD(p, 40, rng=9),
+    "triest": lambda p: Triest(p, 40, rng=9),
+    "wrs": lambda p: WRS(p, 40, rng=9),
+    "wsd-l": _wsd_l,
+}
+
+
 class TestKernelCheckpoints:
     """Generic save/restore for every kernel-based sampler."""
 
-    @pytest.mark.parametrize(
-        "factory,needs_weight_fn",
-        [
-            (lambda: WSD("triangle", 40, GPSHeuristicWeight(), rng=9), True),
-            (lambda: GPSA("triangle", 40, GPSHeuristicWeight(), rng=9), True),
-            (lambda: ThinkD("triangle", 40, rng=9), False),
-            (lambda: Triest("triangle", 40, rng=9), False),
-            (lambda: WRS("triangle", 40, rng=9), False),
-        ],
-        ids=["wsd", "gps-a", "thinkd", "triest", "wrs"],
-    )
-    def test_resume_equals_uninterrupted(
-        self, stream, factory, needs_weight_fn
-    ):
-        """Checkpoint mid-stream, restore, finish: bit-identical."""
-        half = len(stream) // 2
-        uninterrupted = factory()
-        for event in stream:
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("pattern", ["triangle", "wedge", "4-clique"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_resume_equals_uninterrupted(self, stream, name, pattern, labels):
+        """Checkpoint mid-stream, frame and unframe the state, restore,
+        finish: bit-identical to a run that never stopped. WSD-L
+        restores from the actor embedded in the state."""
+        events = _insertion_only(stream) if name == "gps" else list(stream)
+        if labels == "str":
+            events = [
+                EdgeEvent(e.op, (f"v{e.edge[0]}", f"v{e.edge[1]}"))
+                for e in events
+            ]
+        half = len(events) // 2
+        uninterrupted = ALGORITHMS[name](pattern)
+        for event in events:
             uninterrupted.process(event)
 
-        first = factory()
-        for event in stream[:half]:
+        first = ALGORITHMS[name](pattern)
+        for event in events[:half]:
             first.process(event)
-        weight_fn = GPSHeuristicWeight() if needs_weight_fn else None
-        restored = restore_sampler(sampler_state_dict(first), weight_fn)
-        for event in stream[half:]:
+        weight_fn = (
+            GPSHeuristicWeight() if name in ("wsd", "gps", "gps-a") else None
+        )
+        state = state_from_wire(state_to_wire(sampler_state_dict(first)))
+        restored = restore_sampler(state, weight_fn)
+        for event in events[half:]:
             restored.process(event)
         assert restored.estimate == uninterrupted.estimate
         assert set(restored.sampled_edges()) == set(
@@ -416,3 +456,86 @@ class TestKernelCheckpoints:
             gpsa.process(event)
         with pytest.raises(ConfigurationError):
             restore_wsd(sampler_state_dict(gpsa), GPSHeuristicWeight())
+
+
+def _corrupt(mutate):
+    """A real mid-stream WSD state, edited by ``mutate`` then framed."""
+
+    def build(stream):
+        sampler = fresh_sampler()
+        for event in stream[:300]:
+            sampler.process(event)
+        state = wsd_state_dict(sampler)
+        state["columns"] = {k: v.copy() for k, v in state["columns"].items()}
+        mutate(state)
+        return state_from_wire(state_to_wire(state))
+
+    return build
+
+
+def _set_first(name, value):
+    def mutate(state):
+        state["columns"][name][0] = value(state)
+
+    return mutate
+
+
+class TestHostileStates:
+    """A frame that passes its CRC can still carry a state no sampler
+    wrote; every such state fails with a typed error at restore."""
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (
+                _corrupt(lambda s: s["columns"].update(
+                    {"reservoir.rank": s["columns"]["reservoir.rank"][:-1]}
+                )),
+                "mismatched lengths",
+            ),
+            (
+                _corrupt(lambda s: s["columns"].update(
+                    {"reservoir.v": s["columns"]["reservoir.v"][1:]}
+                )),
+                "mismatched lengths",
+            ),
+            (
+                _corrupt(_set_first("reservoir.u", lambda s: len(s["labels"]))),
+                "outside",
+            ),
+            (_corrupt(_set_first("reservoir.v", lambda s: -1)), "outside"),
+            (
+                _corrupt(lambda s: s["columns"].update(
+                    {"reservoir.time": s["columns"]["reservoir.time"] * 0.5}
+                )),
+                "<i8",
+            ),
+            (_corrupt(lambda s: s["columns"].pop("reservoir.weight")), "missing"),
+            (_corrupt(lambda s: s["labels"].append(True)), "bool"),
+            (_corrupt(lambda s: s["labels"].append(1.5)), "float"),
+            (
+                _corrupt(lambda s: s["labels"].append(s["labels"][0])),
+                "repeat",
+            ),
+            (_corrupt(lambda s: s.pop("threshold")), "threshold"),
+            (_corrupt(lambda s: s.update(rng_state="junk")), "malformed"),
+            (_corrupt(lambda s: s.update(labels={"a": 1})), "not a list"),
+        ],
+        ids=[
+            "short-rank", "short-v", "id-past-labels", "negative-id",
+            "float-time", "missing-weight", "bool-label", "float-label",
+            "repeated-label", "missing-threshold", "bad-rng", "labels-dict",
+        ],
+    )
+    def test_rejected_with_configuration_error(self, stream, build, match):
+        state = build(stream)
+        with pytest.raises(ConfigurationError, match=match):
+            restore_wsd(state, GPSHeuristicWeight())
+
+    def test_repeated_reservoir_edge_rejected(self, stream):
+        def mutate(state):
+            for name in ("reservoir.u", "reservoir.v"):
+                state["columns"][name][1] = state["columns"][name][0]
+
+        with pytest.raises(ConfigurationError, match="twice"):
+            restore_wsd(_corrupt(mutate)(stream), GPSHeuristicWeight())

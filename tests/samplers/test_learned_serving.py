@@ -9,13 +9,11 @@ path:
    estimator's float regrouping (well under the 1e-6 tripwire);
 2. per-event and batched ingestion of a block-served WSD-L sampler are
    bit-identical (same contract every other weight function has);
-3. a v4 checkpoint embeds the frozen actor and the arrival-time
+3. a checkpoint embeds the frozen actor and the arrival-time
    aggregates, restores *without* the caller re-supplying the weight
    function, and continues bit-identically — including through the
    process-backend sharded executor.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -23,7 +21,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph.stream import EdgeEvent, EventBlock
 from repro.rl.policy import FrozenPolicy, Policy
-from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
+from repro.samplers.checkpoint import (
+    restore_sampler,
+    sampler_state_dict,
+    state_from_wire,
+    state_to_wire,
+)
 from repro.samplers.gps import GPS
 from repro.samplers.gps_a import GPSA
 from repro.samplers.wsd import WSD
@@ -168,11 +171,11 @@ class TestLearnedCheckpoint:
         first = make_sampler(pattern, cls=cls, arena_cutoff=cutoff)
         for event in events[:half]:
             first.process(event)
-        state = json.loads(json.dumps(sampler_state_dict(first)))
-        assert state["format"] == 4
+        state = state_from_wire(state_to_wire(sampler_state_dict(first)))
+        assert state["format"] == 5
         assert "learned_weight" in state
         if pattern == "wedge":
-            assert "arrival_tracker" in state
+            assert "arrival.vertex" in state["columns"]
         restored = restore_sampler(state)
         assert isinstance(restored.weight_fn, LearnedWeight)
         assert restored.weight_fn.block_serving
@@ -262,7 +265,7 @@ class TestLearnedExecutor:
         assert shard_estimates == serial.shard_estimates()
 
     def test_shard_restart_continues_bit_identically(self):
-        """Crash-restart from the v4 snapshot: the restarted shard's
+        """Crash-restart from the snapshot: the restarted shard's
         replica is rebuilt from the checkpointed actor, not the pickled
         weight function."""
         events = dynamic_stream(num_events=600, seed=47)
@@ -273,7 +276,7 @@ class TestLearnedExecutor:
         executor.process_batch(events[:half])
         snapshot = executor.snapshot()
         for index, state in enumerate(snapshot):
-            state = json.loads(json.dumps(state))
+            state = state_from_wire(state_to_wire(state))
             executor.shards[index] = restore_sampler(state)
         executor.process_batch(events[half:])
         assert executor.estimate == reference.estimate

@@ -15,7 +15,9 @@ from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
+from repro.samplers.checkpoint import state_to_wire
 from repro.streams import ShardedStreamExecutor, build_stream
+from repro.streams.workers import ShardWorker
 from repro.utils.rng import spawn_generators
 from repro.weights.heuristic import GPSHeuristicWeight, UniformWeight
 
@@ -260,6 +262,82 @@ class TestLifecycle:
         states = executor.snapshot()
         assert len(states) == executor.num_shards
         assert all(state["algorithm"] == "wsd" for state in states)
+
+
+class TestFannedOutSnapshot:
+    @pytest.mark.parametrize(
+        "name,scenario,make",
+        SAMPLER_CASES,
+        ids=[case[0] for case in SAMPLER_CASES],
+    )
+    def test_frames_byte_equal_to_serial(self, streams, name, scenario, make):
+        """Both workers extract at once; each framed state is byte for
+        byte the serial backend's, mid-stream and at the end."""
+        stream = streams[scenario]
+        half = len(stream) // 2
+        serial = build_executor(make, "serial", "partition")
+        proc = build_executor(make, "process", "partition", chunk_size=64)
+        try:
+            for part in (stream[:half], stream[half:]):
+                serial.process_batch(part)
+                proc.process_batch(part)
+                expected = [state_to_wire(s) for s in serial.snapshot()]
+                assert [state_to_wire(s) for s in proc.snapshot()] == expected
+        finally:
+            proc.close()
+
+    def test_every_request_sent_before_any_reply(self, streams, monkeypatch):
+        calls = []
+        send, wait = ShardWorker.send_request, ShardWorker.await_reply
+
+        def recording_send(self, tag):
+            calls.append(("send", tag, self.shard_index))
+            return send(self, tag)
+
+        def recording_wait(self, tag, token):
+            calls.append(("await", tag, self.shard_index))
+            return wait(self, tag, token)
+
+        proc = build_executor(SAMPLER_CASES[0][2], "process", "partition")
+        try:
+            proc.process_batch(streams["light"][:200])
+            proc.estimate  # barrier, so only the snapshot is recorded
+            monkeypatch.setattr(ShardWorker, "send_request", recording_send)
+            monkeypatch.setattr(ShardWorker, "await_reply", recording_wait)
+            proc.snapshot()
+        finally:
+            monkeypatch.undo()
+            proc.close()
+        assert calls == [
+            ("send", "snapshot", 0),
+            ("send", "snapshot", 1),
+            ("await", "snapshot", 0),
+            ("await", "snapshot", 1),
+        ]
+
+    def test_failed_send_still_drains_the_survivor(self, streams, monkeypatch):
+        """Shard 1 fails to take the request; shard 0's reply is still
+        collected, so its next request pairs with the right reply."""
+        proc = build_executor(SAMPLER_CASES[0][2], "process", "partition")
+        send = ShardWorker.send_request
+
+        def failing_send(self, tag):
+            if self.shard_index == 1:
+                raise WorkerCrashError(1, "injected send failure")
+            return send(self, tag)
+
+        try:
+            proc.process_batch(streams["light"][:200])
+            proc.estimate
+            monkeypatch.setattr(ShardWorker, "send_request", failing_send)
+            with pytest.raises(WorkerCrashError, match="injected"):
+                proc.snapshot()
+            monkeypatch.undo()
+            reply = proc._workers[0].request("sync")
+            assert reply[0] == "sync"
+        finally:
+            monkeypatch.undo()
+            proc.close()
 
 
 class TestValidation:

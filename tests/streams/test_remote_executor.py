@@ -24,7 +24,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
-from repro.samplers.checkpoint import sampler_state_dict
+from repro.samplers.checkpoint import sampler_state_dict, state_to_wire
 from repro.streams import ShardedStreamExecutor, ShardWorker, build_stream
 from repro.streams.workers import encode_events
 from repro.streams.host import HostAgent, spawn_local_host
@@ -497,7 +497,9 @@ class TestHostAgentCli:
             assert shard_time == reference.time
             assert estimate == reference.estimate
             state = worker.stop()
-            assert state == sampler_state_dict(reference)
+            assert state_to_wire(state) == state_to_wire(
+                sampler_state_dict(reference)
+            )
         finally:
             proc.terminate()
             proc.wait(timeout=10.0)

@@ -181,11 +181,42 @@ class TestBlockFrames:
             block_from_frame(payload)
 
 
+def _v2_frame(head, body=b"", version=2):
+    """Hand-build a checkpoint frame with a valid CRC around ``head``."""
+    import json
+    import struct as _struct
+    import zlib
+
+    head_bytes = head if isinstance(head, bytes) else json.dumps(head).encode()
+    payload = _struct.pack("<I", len(head_bytes)) + head_bytes + body
+    return _struct.Struct("<4sBxxxIQ").pack(
+        b"RPCK", version, zlib.crc32(payload), len(payload)
+    ) + payload
+
+
 class TestCheckpointWire:
-    STATE = {"format": "x/v1", "budget": 60, "items": [1, 2.5, "a"]}
+    STATE = {
+        "format": "x/v1",
+        "budget": 60,
+        "items": [1, 2.5, "a"],
+        "columns": {
+            "a.u": np.array([1, 2, 3], dtype="<i8"),
+            "a.w": np.array([0.5, -1e300], dtype="<f8"),
+            "b.flag": np.array([True, False, True], dtype="|b1"),
+            "c.empty": np.array([], dtype="<i8"),
+        },
+    }
 
     def test_round_trip(self):
-        assert state_from_wire(state_to_wire(self.STATE)) == self.STATE
+        decoded = state_from_wire(state_to_wire(self.STATE))
+        columns = decoded.pop("columns")
+        expected = dict(self.STATE)
+        expected_columns = expected.pop("columns")
+        assert decoded == expected
+        assert list(columns) == list(expected_columns)
+        for name, column in expected_columns.items():
+            assert columns[name].dtype == column.dtype
+            assert columns[name].tolist() == column.tolist()
 
     def test_truncation_raises(self):
         blob = state_to_wire(self.STATE)
@@ -207,8 +238,7 @@ class TestCheckpointWire:
 
     def test_payload_corruption_fails_crc(self):
         blob = bytearray(state_to_wire(self.STATE))
-        # Flip one payload byte to another value that still decodes as
-        # JSON-compatible bytes — the CRC must catch it regardless.
+        # Flip one column byte: the CRC covers header and columns alike.
         blob[-2] ^= 0x01
         with pytest.raises(ProtocolError):
             state_from_wire(bytes(blob))
@@ -219,16 +249,63 @@ class TestCheckpointWire:
             state_from_wire(blob)
 
     def test_non_dict_payload_rejected(self):
-        import json
+        with pytest.raises(ProtocolError, match="state, columns"):
+            state_from_wire(_v2_frame([1, 2, 3]))
+
+    def test_unframeable_column_rejected(self):
+        state = {"columns": {"x": np.zeros(2, dtype=np.int32)}}
+        with pytest.raises(ConfigurationError, match="int32|<i4"):
+            state_to_wire(state)
+
+    @pytest.mark.parametrize(
+        "frame,match",
+        [
+            # A column table that claims more bytes than follow it.
+            (_v2_frame({"state": {}, "columns": [["a", "<i8", 4]]},
+                       b"\0" * 8), "declares 32 bytes"),
+            # A huge count is refused by arithmetic, before allocating.
+            (_v2_frame({"state": {}, "columns": [["a", "<f8", 1 << 60]]}),
+             "declares"),
+            (_v2_frame({"state": {}, "columns": [["a", "<i4", 1]]},
+                       b"\0" * 4), "dtype"),
+            (_v2_frame({"state": {}, "columns": [["a", "<i8", -1]]}),
+             "count"),
+            (_v2_frame({"state": {}, "columns": [["a", "<i8", True]]},
+                       b"\0" * 8), "count"),
+            (_v2_frame({"state": {}, "columns": [["a", "<i8", 1],
+                                                 ["a", "<i8", 1]]},
+                       b"\0" * 16), "unique"),
+            (_v2_frame({"state": {}, "columns": [["a", "<i8"]]}),
+             "name, dtype, count"),
+            (_v2_frame({"state": [], "columns": []}), "state, columns"),
+            (_v2_frame(b"{not json"), "does not decode"),
+            (_v2_frame(b"[" * 100_000), "does not decode"),
+            (_v2_frame({"state": {}, "columns": []}, version=1), "version 1"),
+        ],
+        ids=[
+            "table-past-payload", "huge-count", "unknown-dtype",
+            "negative-count", "bool-count", "duplicate-name",
+            "short-entry", "state-not-dict", "bad-json", "json-depth-bomb",
+            "version-1",
+        ],
+    )
+    def test_hostile_frame_rejected(self, frame, match):
+        with pytest.raises(ProtocolError, match=match):
+            state_from_wire(frame)
+
+    def test_header_length_overrun_rejected(self):
+        frame = bytearray(_v2_frame({"state": {}, "columns": []}))
+        # Patch the u32 header length past the payload, then re-CRC.
         import struct as _struct
         import zlib
 
-        payload = json.dumps([1, 2, 3]).encode()
-        header = _struct.Struct("<4sBxxxIQ").pack(
-            b"RPCK", 1, zlib.crc32(payload), len(payload)
-        )
-        with pytest.raises(ProtocolError):
-            state_from_wire(header + payload)
+        payload = bytearray(frame[20:])
+        payload[:4] = _struct.pack("<I", len(payload))
+        frame = _struct.Struct("<4sBxxxIQ").pack(
+            b"RPCK", 2, zlib.crc32(payload), len(payload)
+        ) + bytes(payload)
+        with pytest.raises(ProtocolError, match="overruns"):
+            state_from_wire(frame)
 
 
 class TestParseAddress:

@@ -1,5 +1,6 @@
 """Tests for the shard-worker protocol layer (streams/workers.py)."""
 
+import logging
 import time
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, WSD, restore_sampler, sampler_state_dict
-from repro.streams.workers import ShardWorker, decode_events, encode_events
+from repro.streams.workers import (
+    ProcessShardTransport,
+    ShardWorker,
+    decode_events,
+    encode_events,
+)
 from repro.weights.base import WeightFunction
 from repro.weights.heuristic import GPSHeuristicWeight
 
@@ -137,3 +143,33 @@ class TestShardWorker:
                 0, sampler_state_dict(fresh_wsd()), GPSHeuristicWeight(),
                 queue_depth=0,
             )
+
+
+class TestTeardownLogging:
+    """Finalisers must not raise, but a failed release leaves a trace."""
+
+    class _Failing:
+        def release(self):
+            raise OSError("segment already gone")
+
+    def test_transport_finaliser_logs_release_failure(self, caplog):
+        transport = ProcessShardTransport.__new__(ProcessShardTransport)
+        transport.shard_index = 3
+        transport.release = self._Failing().release
+        with caplog.at_level(logging.DEBUG, logger="repro.streams.workers"):
+            transport.__del__()
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "shard 3" in record.getMessage()
+        assert "segment already gone" in record.exc_text
+
+    def test_worker_finaliser_logs_release_failure(self, caplog):
+        worker = ShardWorker.__new__(ShardWorker)
+        worker.shard_index = 5
+        worker.transport = self._Failing()
+        with caplog.at_level(logging.DEBUG, logger="repro.streams.workers"):
+            worker.__del__()
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "shard 5" in record.getMessage()
+        assert "segment already gone" in record.exc_text
